@@ -3,10 +3,7 @@
 use insane_bench::BenchError;
 
 fn main() {
-    if let Err(e) = suite() {
-        eprintln!("experiment suite failed: {e}");
-        std::process::exit(1);
-    }
+    insane_bench::exit_on_error("experiment suite", suite());
 }
 
 fn suite() -> Result<(), BenchError> {

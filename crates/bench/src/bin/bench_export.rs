@@ -5,17 +5,15 @@
 //! Iteration counts honor `INSANE_BENCH_FACTOR` (CI runs 0.3 for a
 //! fast smoke; 1.0 is the quick default, 10+ approaches paper scale).
 
-use insane_bench::export::{write_latency, write_throughput, LatencyEntry, ThroughputEntry};
+use insane_bench::export::{latency_entry, write_bench};
 use insane_bench::latency::{rtt_series, System};
 use insane_bench::throughput::{goodput_gbps, TputSystem};
 use insane_bench::{iters, BenchError};
 use insane_fabric::TestbedProfile;
+use insane_telemetry::Value;
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("bench export failed: {e}");
-        std::process::exit(1);
-    }
+    insane_bench::exit_on_error("bench export", run());
 }
 
 fn run() -> Result<(), BenchError> {
@@ -31,15 +29,16 @@ fn run() -> Result<(), BenchError> {
         System::RawDpdk,
     ] {
         for payload in [64usize, 1024] {
-            latency.push(LatencyEntry {
-                system: system.label().to_owned(),
-                testbed: profile.name.to_owned(),
-                payload_bytes: payload,
-                series: rtt_series(system, &profile, payload, n, warmup)?,
-            });
+            let series = rtt_series(system, &profile, payload, n, warmup)?;
+            latency.push(latency_entry(
+                system.label(),
+                profile.name,
+                payload,
+                &series,
+            ));
         }
     }
-    let latency_path = write_latency(&latency)?;
+    let latency_path = write_bench("BENCH_latency.json", latency)?;
 
     let msgs = iters(6_000);
     let mut throughput = Vec::new();
@@ -50,16 +49,19 @@ fn run() -> Result<(), BenchError> {
         TputSystem::RawDpdk,
     ] {
         for payload in [1024usize, 8192] {
-            throughput.push(ThroughputEntry {
-                system: system.label().to_owned(),
-                testbed: profile.name.to_owned(),
-                payload_bytes: payload,
-                messages: msgs,
-                goodput_gbps: goodput_gbps(system, &profile, payload, msgs)?,
-            });
+            throughput.push(Value::object([
+                ("system", system.label().into()),
+                ("testbed", profile.name.into()),
+                ("payload_bytes", (payload as u64).into()),
+                ("messages", (msgs as u64).into()),
+                (
+                    "goodput_gbps",
+                    goodput_gbps(system, &profile, payload, msgs)?.into(),
+                ),
+            ]));
         }
     }
-    let throughput_path = write_throughput(&throughput)?;
+    let throughput_path = write_bench("BENCH_throughput.json", throughput)?;
 
     println!(
         "wrote {} and {}",

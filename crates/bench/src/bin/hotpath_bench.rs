@@ -7,16 +7,16 @@
 //!
 //! Iteration counts honor `INSANE_BENCH_FACTOR` (CI runs 0.3).
 
-use insane_bench::export::{write_hotpath, HotpathEntry};
-use insane_bench::hotpath::{self, CONTENDED_BOUND_X1000, UNCONTENDED_BOUND_X1000};
+use insane_bench::export::write_bench;
+use insane_bench::hotpath;
 use insane_bench::{iters, BenchError};
 use insane_fabric::TestbedProfile;
+use insane_telemetry::schema::{
+    ratio_x1000, HOTPATH_CONTENDED_BOUND_X1000, HOTPATH_UNCONTENDED_BOUND_X1000,
+};
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("hotpath bench failed: {e}");
-        std::process::exit(1);
-    }
+    insane_bench::exit_on_error("hotpath bench", run());
 }
 
 fn run() -> Result<(), BenchError> {
@@ -31,15 +31,19 @@ fn run() -> Result<(), BenchError> {
         "uncontended read: locked {:.1}ns, snapshot {:.1}ns -> ratio {:.3}x (bound {:.3}x)",
         report.locked_read_ns_x1000 as f64 / 1e3,
         report.snapshot_read_ns_x1000 as f64 / 1e3,
-        report.uncontended_ratio_x1000() as f64 / 1e3,
-        UNCONTENDED_BOUND_X1000 as f64 / 1e3,
+        ratio_x1000(report.snapshot_read_ns_x1000, report.locked_read_ns_x1000) as f64 / 1e3,
+        HOTPATH_UNCONTENDED_BOUND_X1000 as f64 / 1e3,
+    );
+    let (locked_p99, snapshot_p99) = (
+        report.locked_contended.p99(),
+        report.snapshot_contended.p99(),
     );
     println!(
         "contended p99: locked {:.2}us, snapshot {:.2}us -> ratio {:.3}x (bound {:.3}x)",
-        report.locked_contended.p99() as f64 / 1e3,
-        report.snapshot_contended.p99() as f64 / 1e3,
-        report.contended_ratio_x1000() as f64 / 1e3,
-        CONTENDED_BOUND_X1000 as f64 / 1e3,
+        locked_p99 as f64 / 1e3,
+        snapshot_p99 as f64 / 1e3,
+        ratio_x1000(snapshot_p99, locked_p99) as f64 / 1e3,
+        HOTPATH_CONTENDED_BOUND_X1000 as f64 / 1e3,
     );
     println!(
         "reload under load: {} reloads across {} messages, {} dropped, {} reordered",
@@ -48,21 +52,6 @@ fn run() -> Result<(), BenchError> {
 
     // The export validator enforces all three gates; a regression fails
     // here, before CI sees the artifact.
-    write_hotpath(&[HotpathEntry {
-        system: "INSANE hot path".into(),
-        testbed: profile.name.into(),
-        samples: report.samples,
-        locked_read_ns_x1000: report.locked_read_ns_x1000,
-        snapshot_read_ns_x1000: report.snapshot_read_ns_x1000,
-        uncontended_ratio_x1000: report.uncontended_ratio_x1000(),
-        uncontended_bound_x1000: UNCONTENDED_BOUND_X1000,
-        locked_p99_ns: report.locked_contended.p99(),
-        snapshot_p99_ns: report.snapshot_contended.p99(),
-        contended_ratio_x1000: report.contended_ratio_x1000(),
-        contended_bound_x1000: CONTENDED_BOUND_X1000,
-        reloads: report.reloads,
-        dropped: report.dropped,
-        reordered: report.reordered,
-    }])?;
+    write_bench("BENCH_hotpath.json", vec![report.entry(profile.name)])?;
     Ok(())
 }

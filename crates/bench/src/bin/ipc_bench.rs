@@ -16,11 +16,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-use insane_bench::export::{write_ipc, IpcEntry};
-use insane_bench::ipc_bench::{self, BOUND_X1000, CRASH_SLOTS};
+use insane_bench::export::write_bench;
+use insane_bench::ipc_bench::{self, CRASH_SLOTS};
 use insane_bench::{iters, BenchError};
 use insane_fabric::TestbedProfile;
 use insane_ipc::{IpcClient, IpcServer, ServerConfig};
+use insane_telemetry::schema::{ratio_x1000, IPC_BOUND_X1000};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -32,10 +33,7 @@ fn main() {
             "usage: ipc_bench [--serve <socket> | --crash <socket>], got {other:?}"
         ))),
     };
-    if let Err(e) = result {
-        eprintln!("ipc bench failed: {e}");
-        std::process::exit(1);
-    }
+    insane_bench::exit_on_error("ipc bench", result);
 }
 
 fn ipc_err(stage: &str, e: insane_ipc::IpcError) -> BenchError {
@@ -169,29 +167,14 @@ fn run() -> Result<(), BenchError> {
         reclaimed_slots,
         leaked_slots,
     };
-    let ratio = report.ratio_x1000();
     println!(
         "process-split overhead: {:.3}x at p99 (bound {:.3}x)",
-        ratio as f64 / 1e3,
-        BOUND_X1000 as f64 / 1e3,
+        ratio_x1000(report.cross_process.p99(), report.in_process.p99()) as f64 / 1e3,
+        IPC_BOUND_X1000 as f64 / 1e3,
     );
 
     // The exporter re-validates every gate (overhead, reclaim ran, no
     // leaks) against the schema before writing.
-    write_ipc(&[IpcEntry {
-        system: "INSANE process split".to_string(),
-        testbed: profile.name.to_string(),
-        messages: report.messages,
-        in_process_p50_ns: report.in_process.median(),
-        in_process_p99_ns: report.in_process.p99(),
-        cross_process_p50_ns: report.cross_process.median(),
-        cross_process_p99_ns: report.cross_process.p99(),
-        ratio_x1000: ratio,
-        bound_x1000: BOUND_X1000,
-        attach_ns: report.attach_ns,
-        reclaim_ns: report.reclaim_ns,
-        reclaimed_slots: report.reclaimed_slots,
-        leaked_slots: report.leaked_slots,
-    }])?;
+    write_bench("BENCH_ipc.json", vec![report.entry(profile.name)])?;
     Ok(())
 }

@@ -15,20 +15,20 @@
 //!
 //! Iteration counts honor `INSANE_BENCH_FACTOR` (CI runs 0.3).
 
-use insane_bench::export::write_isolation;
-use insane_bench::mixed_criticality::{self, BUDGET, PAYLOAD, TAIL_BOUND_X1000};
-use insane_bench::{iters, BenchError};
+use insane_bench::export::write_bench;
+use insane_bench::mixed_criticality::{self, BUDGET, PAYLOAD};
+use insane_bench::{iters, parse_usize_list, BenchError};
 use insane_fabric::TestbedProfile;
+use insane_telemetry::schema::{ratio_x1000, ISOLATION_TAIL_BOUND_X1000};
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("mixed-criticality bench failed: {e}");
-        std::process::exit(1);
-    }
+    insane_bench::exit_on_error("mixed-criticality bench", run());
 }
 
 fn run() -> Result<(), BenchError> {
-    let bursts = load_points()?;
+    // The solo baseline always runs in addition to these load points.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let bursts = parse_usize_list(&args, "bulk load point", 1..=1024, &[8, 32])?;
     let profile = TestbedProfile::local();
     let rounds = iters(300);
     // Warmup also floods, so bulk backlog and the dry token bucket are
@@ -52,8 +52,8 @@ fn run() -> Result<(), BenchError> {
             p.series.median() as f64 / 1e3,
             p.series.p99() as f64 / 1e3,
             p.series.p999() as f64 / 1e3,
-            (p.series.p999().saturating_mul(1_000) / solo.max(1)) as f64 / 1e3,
-            TAIL_BOUND_X1000 as f64 / 1e3,
+            ratio_x1000(p.series.p999(), solo) as f64 / 1e3,
+            ISOLATION_TAIL_BOUND_X1000 as f64 / 1e3,
             p.budget_violations,
             p.lost,
             p.gate_deferrals,
@@ -65,22 +65,9 @@ fn run() -> Result<(), BenchError> {
 
     // The export validator enforces the budget and tail gates; a
     // violated bound fails here, before CI.
-    let entries = report.to_entries("INSANE tas", profile.name);
-    write_isolation(&entries)?;
+    write_bench(
+        "BENCH_isolation.json",
+        report.to_entries("INSANE tas", profile.name),
+    )?;
     Ok(())
-}
-
-/// Bulk load points from `argv` (default `8 32`); the solo baseline is
-/// always run in addition.
-fn load_points() -> Result<Vec<usize>, BenchError> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return Ok(vec![8, 32]);
-    }
-    args.iter()
-        .map(|a| {
-            a.parse::<usize>()
-                .map_err(|_| BenchError::Other(format!("invalid bulk load point {a:?}")))
-        })
-        .collect()
 }

@@ -6,16 +6,14 @@
 //!
 //! Iteration counts honor `INSANE_BENCH_FACTOR` (CI runs 0.3).
 
-use insane_bench::export::{write_noisy_neighbor, NoisyNeighborEntry};
-use insane_bench::noisy_neighbor::{self, BULK_BURST, ISOLATION_BOUND_X1000, PAYLOAD};
+use insane_bench::export::write_bench;
+use insane_bench::noisy_neighbor::{self, BULK_BURST, PAYLOAD};
 use insane_bench::{iters, BenchError};
 use insane_fabric::TestbedProfile;
+use insane_telemetry::schema::{ratio_x1000, NOISY_NEIGHBOR_BOUND_X1000};
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("noisy-neighbor bench failed: {e}");
-        std::process::exit(1);
-    }
+    insane_bench::exit_on_error("noisy-neighbor bench", run());
 }
 
 fn run() -> Result<(), BenchError> {
@@ -31,13 +29,13 @@ fn run() -> Result<(), BenchError> {
     );
     let report = noisy_neighbor::run(&profile, rounds, warmup)?;
 
-    let ratio = report.isolation_ratio_x1000();
+    let ratio = ratio_x1000(report.contended.p99(), report.solo.p99());
     println!(
         "victim p99: solo {:.2}us, contended {:.2}us -> ratio {:.3}x (bound {:.3}x)",
         report.solo.p99() as f64 / 1e3,
         report.contended.p99() as f64 / 1e3,
         ratio as f64 / 1e3,
-        ISOLATION_BOUND_X1000 as f64 / 1e3,
+        NOISY_NEIGHBOR_BOUND_X1000 as f64 / 1e3,
     );
     println!(
         "bulk tenant: {} typed rejections; victim: {}",
@@ -46,17 +44,9 @@ fn run() -> Result<(), BenchError> {
 
     // The export validator enforces the isolation gate and the
     // rejection invariants; a violated bound fails here, before CI.
-    write_noisy_neighbor(&[NoisyNeighborEntry {
-        system: "INSANE multi-tenant".into(),
-        testbed: profile.name.into(),
-        payload_bytes: PAYLOAD,
-        samples: report.contended.len(),
-        solo_p99_ns: report.solo.p99(),
-        contended_p99_ns: report.contended.p99(),
-        isolation_ratio_x1000: ratio,
-        bound_x1000: ISOLATION_BOUND_X1000,
-        bulk_rejections: report.bulk_rejections,
-        victim_rejections: report.victim_rejections,
-    }])?;
+    write_bench(
+        "BENCH_noisy_neighbor.json",
+        vec![report.entry(profile.name)],
+    )?;
     Ok(())
 }

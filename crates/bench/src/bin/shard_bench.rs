@@ -6,50 +6,28 @@
 //! `1 2 4 8`).  `--per-shard-pool` scales the slot pools and sink
 //! queues with the shard count, isolating polling-engine scaling from
 //! pool contention at high shard counts.  When both the 1- and 2-shard
-//! points are measured, the run fails unless 2 shards deliver at least
-//! 1.3x the 1-shard aggregate message rate — the scale-out contract of
-//! the sharded polling engine.
+//! points are measured, the export validator fails the run unless 2
+//! shards deliver at least 1.3x the 1-shard goodput — the scale-out
+//! contract of the sharded polling engine.
 //!
 //! Iteration counts honor `INSANE_BENCH_FACTOR` (CI runs 0.3).
 
-use insane_bench::export::write_throughput_named;
-use insane_bench::shard_bench::{self, ShardRun, PAYLOAD, STREAMS};
-use insane_bench::{iters, BenchError};
+use insane_bench::export::write_bench;
+use insane_bench::shard_bench::{self, PAYLOAD, STREAMS};
+use insane_bench::{iters, parse_usize_list, BenchError};
 use insane_fabric::TestbedProfile;
-
-/// Required 2-shard speed-up over 1 shard in aggregate msgs/sec.
-const MIN_SPEEDUP: f64 = 1.3;
+use insane_telemetry::schema::SHARD_SPEEDUP_FLOOR_X1000;
 
 fn main() {
-    if let Err(e) = run() {
-        eprintln!("shard bench failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn parse_args() -> Result<(Vec<usize>, bool), BenchError> {
-    let mut per_shard_pool = false;
-    let mut shards = Vec::new();
-    for a in std::env::args().skip(1) {
-        if a == "--per-shard-pool" {
-            per_shard_pool = true;
-            continue;
-        }
-        let s = a
-            .parse::<usize>()
-            .ok()
-            .filter(|&s| (1..=64).contains(&s))
-            .ok_or_else(|| BenchError::Other(format!("bad shard count {a:?} (want 1..=64)")))?;
-        shards.push(s);
-    }
-    if shards.is_empty() {
-        shards = vec![1, 2, 4, 8];
-    }
-    Ok((shards, per_shard_pool))
+    insane_bench::exit_on_error("shard bench", run());
 }
 
 fn run() -> Result<(), BenchError> {
-    let (shard_counts, per_shard_pool) = parse_args()?;
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let before = args.len();
+    args.retain(|a| a != "--per-shard-pool");
+    let per_shard_pool = args.len() != before;
+    let shard_counts = parse_usize_list(&args, "shard count", 1..=64, &[1, 2, 4, 8])?;
     let profile = TestbedProfile::local();
     let target = iters(6_000);
 
@@ -67,7 +45,7 @@ fn run() -> Result<(), BenchError> {
         "shards", "msgs/sec", "goodput Gbps", "bottleneck"
     );
 
-    let mut runs: Vec<ShardRun> = Vec::new();
+    let mut runs = Vec::new();
     for &shards in &shard_counts {
         let run = shard_bench::run_with(&profile, shards, target, per_shard_pool)?;
         let tx = run.tx_shard_ns.iter().copied().max().unwrap_or(0);
@@ -83,24 +61,16 @@ fn run() -> Result<(), BenchError> {
         runs.push(run);
     }
 
-    let entries: Vec<_> = runs.iter().map(|r| r.entry(profile.name)).collect();
-    write_throughput_named("BENCH_shard_throughput.json", &entries)?;
-
-    let rate = |shards: usize| {
-        runs.iter()
-            .find(|r| r.shards == shards)
-            .map(ShardRun::msgs_per_sec)
-    };
+    let rate = |shards| runs.iter().find(|r| r.shards == shards);
     if let (Some(one), Some(two)) = (rate(1), rate(2)) {
-        let speedup = two / one.max(f64::MIN_POSITIVE);
-        println!("2-shard speed-up over 1 shard: {speedup:.2}x (required {MIN_SPEEDUP}x)");
-        if speedup < MIN_SPEEDUP {
-            return Err(BenchError::Other(format!(
-                "2 shards reached only {speedup:.2}x of the 1-shard rate \
-                 (required {MIN_SPEEDUP}x)"
-            )));
-        }
+        println!(
+            "2-shard speed-up over 1 shard: {:.2}x (required {:.1}x)",
+            two.goodput_gbps() / one.goodput_gbps(),
+            SHARD_SPEEDUP_FLOOR_X1000 as f64 / 1e3,
+        );
     }
+    let entries = runs.iter().map(|r| r.entry(profile.name)).collect();
+    write_bench("BENCH_shard_throughput.json", entries)?;
     Ok(())
 }
 

@@ -30,6 +30,7 @@ use std::time::Instant;
 
 use insane_core::{ConsumeMode, InsaneError, QosPolicy, SnapshotCell, Technology, Tunables};
 use insane_fabric::TestbedProfile;
+use insane_telemetry::Value;
 
 use crate::setup::InsanePair;
 use crate::stats::Series;
@@ -37,13 +38,6 @@ use crate::BenchError;
 
 /// Sequenced-payload size of the reload-under-load phase (one u64).
 pub const SEQ_PAYLOAD: usize = 8;
-/// Uncontended gate in thousandths: the snapshot read may cost at most
-/// 1.100x the locked read it replaced (it is expected to be *cheaper*;
-/// the slack absorbs timer noise on shared CI runners).
-pub const UNCONTENDED_BOUND_X1000: u64 = 1_100;
-/// Contended gate in thousandths: with a live writer, the snapshot
-/// reader's p99 must not exceed 1.100x the locked reader's p99.
-pub const CONTENDED_BOUND_X1000: u64 = 1_100;
 
 /// The routing-table stand-in both read paths traverse: large enough
 /// that a clone-and-republish is real work, small enough to stay
@@ -89,21 +83,20 @@ pub struct HotpathReport {
 }
 
 impl HotpathReport {
-    /// snapshot/locked uncontended mean ratio in thousandths.
-    pub fn uncontended_ratio_x1000(&self) -> u64 {
-        self.snapshot_read_ns_x1000
-            .saturating_mul(1_000)
-            .checked_div(self.locked_read_ns_x1000)
-            .unwrap_or(u64::MAX)
-    }
-
-    /// snapshot/locked contended p99 ratio in thousandths.
-    pub fn contended_ratio_x1000(&self) -> u64 {
-        self.snapshot_contended
-            .p99()
-            .saturating_mul(1_000)
-            .checked_div(self.locked_contended.p99())
-            .unwrap_or(u64::MAX)
+    /// The `BENCH_hotpath.json` entry for this run.
+    pub fn entry(&self, testbed: &str) -> Value {
+        Value::object([
+            ("system", "INSANE hot path".into()),
+            ("testbed", testbed.into()),
+            ("samples", (self.samples as u64).into()),
+            ("locked_read_ns_x1000", self.locked_read_ns_x1000.into()),
+            ("snapshot_read_ns_x1000", self.snapshot_read_ns_x1000.into()),
+            ("locked_p99_ns", self.locked_contended.p99().into()),
+            ("snapshot_p99_ns", self.snapshot_contended.p99().into()),
+            ("reloads", self.reloads.into()),
+            ("dropped", self.dropped.into()),
+            ("reordered", self.reordered.into()),
+        ])
     }
 }
 

@@ -12,7 +12,8 @@
 //!   binary re-execs itself in `--serve` mode), a real `attach` over the
 //!   Unix control socket, the same ping-pong through the `mmap`ed
 //!   segment.  The schema gate: cross-process p99 ≤
-//!   [`BOUND_X1000`]/1000 × the in-process p99.
+//!   [`IPC_BOUND_X1000`](insane_telemetry::schema::IPC_BOUND_X1000)/1000
+//!   × the in-process p99.
 //! * **crash reclaim** — a `--crash` child attaches, checks slots out,
 //!   and aborts without cleanup; the daemon must force-reclaim every
 //!   one (`leaked_slots == 0`) and report how long death-to-reclaim
@@ -25,13 +26,10 @@ use std::time::{Duration, Instant};
 
 use insane_ipc::loopback::InProcessLoop;
 use insane_ipc::{IpcClient, IpcError, ServerStatsSnapshot};
+use insane_telemetry::Value;
 
 use crate::stats::Series;
 use crate::BenchError;
-
-/// Overhead gate in thousandths: cross-process round-trip p99 may cost
-/// at most 2.000x the in-process baseline p99 (ISSUE acceptance bound).
-pub const BOUND_X1000: u64 = 2_000;
 
 /// Slots the crash child checks out before aborting.
 pub const CRASH_SLOTS: usize = 12;
@@ -66,10 +64,21 @@ pub struct IpcReport {
 }
 
 impl IpcReport {
-    /// cross/in-process p99 ratio, fixed-point thousandths.
-    pub fn ratio_x1000(&self) -> u64 {
-        let baseline = self.in_process.p99().max(1);
-        self.cross_process.p99().saturating_mul(1000) / baseline
+    /// The `BENCH_ipc.json` entry for this run.
+    pub fn entry(&self, testbed: &str) -> Value {
+        Value::object([
+            ("system", "INSANE process split".into()),
+            ("testbed", testbed.into()),
+            ("messages", (self.messages as u64).into()),
+            ("in_process_p50_ns", self.in_process.median().into()),
+            ("in_process_p99_ns", self.in_process.p99().into()),
+            ("cross_process_p50_ns", self.cross_process.median().into()),
+            ("cross_process_p99_ns", self.cross_process.p99().into()),
+            ("attach_ns", self.attach_ns.into()),
+            ("reclaim_ns", self.reclaim_ns.into()),
+            ("reclaimed_slots", self.reclaimed_slots.into()),
+            ("leaked_slots", self.leaked_slots.into()),
+        ])
     }
 }
 

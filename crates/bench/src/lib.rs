@@ -128,3 +128,38 @@ pub fn bench_factor() -> f64 {
 pub fn iters(base: usize) -> usize {
     ((base as f64 * bench_factor()) as usize).max(1)
 }
+
+/// Ends a bench binary: on error prints `<bench> failed: {e}` and exits
+/// with status 1.
+pub fn exit_on_error(bench: &str, result: Result<(), BenchError>) {
+    if let Err(e) = result {
+        eprintln!("{bench} failed: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Parses `args` as a list of `what` values in `range`, or returns
+/// `default` when `args` is empty.
+///
+/// # Errors
+///
+/// [`BenchError::Other`] naming the first argument that is not an
+/// integer in `range`.
+pub fn parse_usize_list(
+    args: &[String],
+    what: &str,
+    range: std::ops::RangeInclusive<usize>,
+    default: &[usize],
+) -> Result<Vec<usize>, BenchError> {
+    if args.is_empty() {
+        return Ok(default.to_vec());
+    }
+    args.iter()
+        .map(|a| {
+            a.parse::<usize>()
+                .ok()
+                .filter(|n| range.contains(n))
+                .ok_or_else(|| BenchError::Other(format!("bad {what} {a:?} (want {range:?})")))
+        })
+        .collect()
+}

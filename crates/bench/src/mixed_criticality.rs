@@ -30,8 +30,8 @@ use insane_core::{
     TenantRate, TenantSpec, TimeSensitivity, Tunables,
 };
 use insane_fabric::{FaultPlan, FaultStats, TestbedProfile};
+use insane_telemetry::Value;
 
-use crate::export::IsolationEntry;
 use crate::setup::InsanePair;
 use crate::stats::Series;
 use crate::BenchError;
@@ -60,10 +60,6 @@ pub const FRAME_TX: Duration = Duration::from_micros(1);
 pub const BUDGET: Duration = Duration::from_millis(25);
 /// Give-up deadline per round; a slower message counts as `lost`.
 pub const DEADLINE: Duration = Duration::from_millis(250);
-/// Tail-isolation bound in thousandths: the contended critical p99.9
-/// must stay within 2.000x of the solo p99.9 (the ISSUE acceptance
-/// criterion).
-pub const TAIL_BOUND_X1000: u64 = 2_000;
 
 /// Seeded fault probabilities replayed under every load point.
 const FAULT_DROP: f64 = 0.01;
@@ -118,28 +114,28 @@ impl MixedCriticalityReport {
     }
 
     /// Converts the report into `BENCH_isolation.json` entries.
-    pub fn to_entries(&self, system: &str, testbed: &str) -> Vec<IsolationEntry> {
+    pub fn to_entries(&self, system: &str, testbed: &str) -> Vec<Value> {
         let solo = self.solo_p999_ns();
         self.points
             .iter()
-            .map(|p| IsolationEntry {
-                system: system.to_string(),
-                testbed: testbed.to_string(),
-                samples: p.series.len(),
-                bulk_burst: p.bulk_burst,
-                p50_ns: p.series.median(),
-                p99_ns: p.series.p99(),
-                p999_ns: p.series.p999(),
-                solo_p999_ns: solo,
-                budget_ns: BUDGET.as_nanos() as u64,
-                budget_violations: p.budget_violations,
-                ratio_x1000: p.series.p999().saturating_mul(1_000) / solo.max(1),
-                bound_x1000: TAIL_BOUND_X1000,
-                gate_deferrals: p.gate_deferrals,
-                lost: p.lost,
-                bulk_rejections: p.bulk_rejections,
-                injected_drops: p.faults.injected_drops,
-                reorders: p.faults.reorders,
+            .map(|p| {
+                Value::object([
+                    ("system", system.into()),
+                    ("testbed", testbed.into()),
+                    ("samples", (p.series.len() as u64).into()),
+                    ("bulk_burst", (p.bulk_burst as u64).into()),
+                    ("p50_ns", p.series.median().into()),
+                    ("p99_ns", p.series.p99().into()),
+                    ("p999_ns", p.series.p999().into()),
+                    ("solo_p999_ns", solo.into()),
+                    ("budget_ns", (BUDGET.as_nanos() as u64).into()),
+                    ("budget_violations", p.budget_violations.into()),
+                    ("gate_deferrals", p.gate_deferrals.into()),
+                    ("lost", p.lost.into()),
+                    ("bulk_rejections", p.bulk_rejections.into()),
+                    ("injected_drops", p.faults.injected_drops.into()),
+                    ("reorders", p.faults.reorders.into()),
+                ])
             })
             .collect()
     }

@@ -24,8 +24,8 @@ use std::time::Instant;
 
 use insane_core::{ChannelId, ConsumeMode, InsaneError, QosPolicy, Sink, Source, Technology};
 use insane_fabric::TestbedProfile;
+use insane_telemetry::Value;
 
-use crate::export::ThroughputEntry;
 use crate::setup::{throughput_config, throughput_profile, InsanePair};
 use crate::stats::gbps;
 use crate::throughput::wire_ns_per_msg;
@@ -72,15 +72,19 @@ impl ShardRun {
         gbps(PAYLOAD, self.delivered, self.bottleneck_ns())
     }
 
-    /// BENCH throughput-schema entry for this run.
-    pub fn entry(&self, testbed: &str) -> ThroughputEntry {
-        ThroughputEntry {
-            system: format!("INSANE fast x{} shards", self.shards),
-            testbed: testbed.to_owned(),
-            payload_bytes: PAYLOAD,
-            messages: self.delivered,
-            goodput_gbps: self.goodput_gbps(),
-        }
+    /// The `BENCH_shard_throughput.json` entry for this run.
+    pub fn entry(&self, testbed: &str) -> Value {
+        Value::object([
+            (
+                "system",
+                format!("INSANE fast x{} shards", self.shards).into(),
+            ),
+            ("testbed", testbed.into()),
+            ("payload_bytes", (PAYLOAD as u64).into()),
+            ("messages", (self.delivered as u64).into()),
+            ("goodput_gbps", self.goodput_gbps().into()),
+            ("shards", (self.shards as u64).into()),
+        ])
     }
 }
 
@@ -289,8 +293,8 @@ mod tests {
         assert!(run.bottleneck_ns() > 0);
         assert!(run.msgs_per_sec() > 0.0);
         let entry = run.entry(profile.name);
-        assert_eq!(entry.payload_bytes, PAYLOAD);
-        assert!(entry.goodput_gbps > 0.0);
+        assert_eq!(entry.get("shards").and_then(Value::as_u64), Some(2));
+        assert!(entry.get("goodput_gbps").and_then(Value::as_f64) > Some(0.0));
     }
 
     #[test]

@@ -1075,12 +1075,15 @@ impl SlotGuard {
     /// the slot: ownership moves to whoever receives the token.
     ///
     /// This is the moment `emit_data` hands the slot id to the runtime.
-    // The forget IS the ownership transfer: the checkout deliberately
-    // outlives the guard because the token now owns it.
-    #[allow(clippy::mem_forget)]
     pub fn into_token(self) -> SlotToken {
         let token = self.pool.token_for(self.index, self.generation, self.len);
-        core::mem::forget(self);
+        // Skipping `Drop` IS the ownership transfer: the checkout outlives
+        // the guard because the token now owns it.  The pool handle does
+        // not, or the pool could never be freed.
+        let this = core::mem::ManuallyDrop::new(self);
+        // SAFETY: `this` is never used or dropped again, so the handle is
+        // moved out exactly once.
+        drop(unsafe { core::ptr::read(&this.pool) });
         token
     }
 
@@ -1166,12 +1169,15 @@ impl SlotView {
     /// Keeps the slot checked out and returns the token, so the view can be
     /// forwarded without copying (e.g. a local sink handing the message to
     /// another component).
-    // The forget IS the ownership transfer: the checkout deliberately
-    // outlives the view because the token now owns it.
-    #[allow(clippy::mem_forget)]
     pub fn into_token(self) -> SlotToken {
         let token = self.pool.token_for(self.index, self.generation, self.len);
-        core::mem::forget(self);
+        // Skipping `Drop` IS the ownership transfer: the checkout outlives
+        // the view because the token now owns it.  The pool handle does
+        // not, or the pool could never be freed.
+        let this = core::mem::ManuallyDrop::new(self);
+        // SAFETY: `this` is never used or dropped again, so the handle is
+        // moved out exactly once.
+        drop(unsafe { core::ptr::read(&this.pool) });
         token
     }
 
@@ -1261,6 +1267,15 @@ mod tests {
         assert_eq!(&*v, b"hello");
         drop(v);
         assert_eq!(p.free_slots(), 4);
+    }
+
+    #[test]
+    fn into_token_does_not_leak_the_pool_handle() {
+        let p = pool();
+        let t = p.acquire(5).unwrap().into_token();
+        let t = p.view(t).unwrap().into_token();
+        p.release(t).unwrap();
+        assert_eq!(Arc::strong_count(&p.inner), 1);
     }
 
     #[test]

@@ -1,15 +1,42 @@
 //! Schema validation for the BENCH export documents.
 //!
-//! `crates/bench` writes `BENCH_latency.json` / `BENCH_throughput.json`
-//! and `insanectl check-bench` (plus the CI bench-smoke job) re-reads
-//! them; both sides share these validators so the producer and the
-//! consumer cannot drift apart.
+//! [`BENCHES`] is the one place that knows each BENCH file: its name,
+//! its schema marker, whether `insanectl check-bench` requires it, the
+//! keys every entry carries, and the gate the measurements must pass.
+//! The bounds are the `*_X1000` constants below.  Documents carry raw
+//! measurements only; every ratio is derived here, so a consumer never
+//! trusts a bound or a ratio the producer wrote.  `crates/bench`
+//! validates before it writes and `insanectl check-bench` (plus the CI
+//! bench-smoke job) re-validates after the fact, through the same
+//! [`validate_bench`].
 
 use crate::json::Value;
-use crate::{
-    BENCH_HOTPATH_SCHEMA, BENCH_IPC_SCHEMA, BENCH_ISOLATION_SCHEMA, BENCH_LATENCY_SCHEMA,
-    BENCH_NOISY_NEIGHBOR_SCHEMA, BENCH_THROUGHPUT_SCHEMA,
-};
+use Kind::{Int, PosInt, PosNum, Str};
+
+/// Noisy-neighbor gate: the victim's contended p99 may be at most
+/// 2.000x its solo p99.
+pub const NOISY_NEIGHBOR_BOUND_X1000: u64 = 2_000;
+/// Mixed-criticality gate: the critical flow's p99.9 at every load point
+/// may be at most 2.000x the solo baseline's p99.9.
+pub const ISOLATION_TAIL_BOUND_X1000: u64 = 2_000;
+/// Hot-path gate: the uncontended snapshot read may cost at most 1.100x
+/// the locked read it replaced (the slack absorbs timer noise).
+pub const HOTPATH_UNCONTENDED_BOUND_X1000: u64 = 1_100;
+/// Hot-path gate: under a live writer the snapshot reader's p99 may be
+/// at most 1.100x the locked reader's p99.
+pub const HOTPATH_CONTENDED_BOUND_X1000: u64 = 1_100;
+/// Process-split gate: the cross-process round-trip p99 may be at most
+/// 2.000x the in-process p99.
+pub const IPC_BOUND_X1000: u64 = 2_000;
+/// Shard scale-out floor: 2 shards must deliver at least 1.300x the
+/// 1-shard goodput (checked when both points were measured).
+pub const SHARD_SPEEDUP_FLOOR_X1000: u64 = 1_300;
+
+/// `num / den` in fixed-point thousandths, the arithmetic every gate
+/// and every bench printout uses.
+pub fn ratio_x1000(num: u64, den: u64) -> u64 {
+    num.saturating_mul(1_000) / den.max(1)
+}
 
 /// Why a BENCH document failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,255 +58,396 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-fn expect_schema(doc: &Value, want: &str) -> Result<(), SchemaError> {
-    match doc.get("schema").and_then(Value::as_str) {
-        Some(got) if got == want => Ok(()),
-        Some(got) => Err(SchemaError::new(format!(
-            "schema mismatch: expected {want:?}, found {got:?}"
-        ))),
-        None => Err(SchemaError::new("missing string key \"schema\"")),
+/// The type a required entry key must have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A string.
+    Str,
+    /// A non-negative integer.
+    Int,
+    /// An integer greater than zero.
+    PosInt,
+    /// A finite number greater than zero.
+    PosNum,
+}
+
+impl Kind {
+    fn holds(self, v: Option<&Value>) -> bool {
+        match self {
+            Str => v.and_then(Value::as_str).is_some(),
+            Int => v.and_then(Value::as_u64).is_some(),
+            PosInt => v.and_then(Value::as_u64).is_some_and(|n| n > 0),
+            PosNum => v
+                .and_then(Value::as_f64)
+                .is_some_and(|x| x.is_finite() && x > 0.0),
+        }
+    }
+
+    fn describe(self) -> &'static str {
+        match self {
+            Str => "a string",
+            Int => "an integer",
+            PosInt => "a positive integer",
+            PosNum => "a finite positive number",
+        }
     }
 }
 
-fn entries(doc: &Value) -> Result<&[Value], SchemaError> {
-    doc.get("entries")
-        .and_then(Value::as_array)
-        .ok_or_else(|| SchemaError::new("missing array key \"entries\""))
+/// One BENCH file format: a row of [`BENCHES`].
+#[derive(Debug)]
+pub struct Bench {
+    /// File name under the experiments directory.
+    pub file: &'static str,
+    /// The document's `schema` marker.
+    pub schema: &'static str,
+    /// Whether `insanectl check-bench` fails when the file is absent.
+    pub required: bool,
+    /// Keys every entry must carry, with their kinds.
+    keys: &'static [(&'static str, Kind)],
+    /// Checks the measurements once every key has the right kind.
+    gate: fn(&[Value]) -> Result<(), SchemaError>,
 }
 
-fn u64_field(entry: &Value, key: &str, i: usize) -> Result<u64, SchemaError> {
-    entry
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| SchemaError::new(format!("entry {i}: missing integer key {key:?}")))
-}
+/// Every BENCH file the bench harness writes.
+pub const BENCHES: &[Bench] = &[
+    // RTT quantile ladders per system × payload.
+    Bench {
+        file: "BENCH_latency.json",
+        schema: "insane-bench-latency-v1",
+        required: true,
+        keys: &[
+            ("system", Str),
+            ("testbed", Str),
+            ("payload_bytes", Int),
+            ("samples", PosInt),
+            ("p50_ns", Int),
+            ("p90_ns", Int),
+            ("p99_ns", Int),
+            ("p999_ns", Int),
+            ("max_ns", Int),
+            ("min_ns", Int),
+            ("mean_ns", PosNum),
+        ],
+        gate: latency_gate,
+    },
+    // Goodput per system × payload.
+    Bench {
+        file: "BENCH_throughput.json",
+        schema: "insane-bench-throughput-v1",
+        required: true,
+        keys: &[
+            ("system", Str),
+            ("testbed", Str),
+            ("payload_bytes", Int),
+            ("messages", Int),
+            ("goodput_gbps", PosNum),
+        ],
+        gate: |_| Ok(()),
+    },
+    // Aggregate goodput per shard count of the sharded polling engine.
+    Bench {
+        file: "BENCH_shard_throughput.json",
+        schema: "insane-bench-shard-throughput-v1",
+        required: false,
+        keys: &[
+            ("system", Str),
+            ("testbed", Str),
+            ("payload_bytes", Int),
+            ("messages", Int),
+            ("goodput_gbps", PosNum),
+            ("shards", PosInt),
+        ],
+        gate: shard_gate,
+    },
+    // A victim tenant's p99 solo and beside a saturating tenant.  The
+    // noisy tenant must have been refused at least once (it saturated
+    // its limits); the victim never.
+    Bench {
+        file: "BENCH_noisy_neighbor.json",
+        schema: "insane-bench-noisy-neighbor-v1",
+        required: false,
+        keys: &[
+            ("system", Str),
+            ("testbed", Str),
+            ("payload_bytes", Int),
+            ("samples", PosInt),
+            ("solo_p99_ns", PosInt),
+            ("contended_p99_ns", PosInt),
+            ("bulk_rejections", PosInt),
+            ("victim_rejections", Int),
+        ],
+        gate: noisy_neighbor_gate,
+    },
+    // Locked vs snapshot control-state reads, and sequenced traffic
+    // across live reloads (at least one reload, nothing lost or
+    // reordered).
+    Bench {
+        file: "BENCH_hotpath.json",
+        schema: "insane-bench-hotpath-v1",
+        required: false,
+        keys: &[
+            ("system", Str),
+            ("testbed", Str),
+            ("samples", PosInt),
+            ("locked_read_ns_x1000", PosInt),
+            ("snapshot_read_ns_x1000", PosInt),
+            ("locked_p99_ns", PosInt),
+            ("snapshot_p99_ns", PosInt),
+            ("reloads", PosInt),
+            ("dropped", Int),
+            ("reordered", Int),
+        ],
+        gate: hotpath_gate,
+    },
+    // In-process vs cross-process round trips, plus a crash phase that
+    // must have force-reclaimed slots and leaked none.
+    Bench {
+        file: "BENCH_ipc.json",
+        schema: "insane-bench-ipc-v1",
+        required: false,
+        keys: &[
+            ("system", Str),
+            ("testbed", Str),
+            ("messages", PosInt),
+            ("in_process_p50_ns", PosInt),
+            ("in_process_p99_ns", PosInt),
+            ("cross_process_p50_ns", PosInt),
+            ("cross_process_p99_ns", PosInt),
+            ("attach_ns", PosInt),
+            ("reclaim_ns", PosInt),
+            ("reclaimed_slots", PosInt),
+            ("leaked_slots", Int),
+        ],
+        gate: ipc_gate,
+    },
+    // The critical flow's one-way latency per bulk load point over the
+    // time-aware shard (DESIGN.md §14).  `lost`, `bulk_rejections`,
+    // `injected_drops` and `reorders` are the seeded fault record:
+    // reported, not bounded.
+    Bench {
+        file: "BENCH_isolation.json",
+        schema: "insane-bench-isolation-v1",
+        required: false,
+        keys: &[
+            ("system", Str),
+            ("testbed", Str),
+            ("samples", PosInt),
+            ("bulk_burst", Int),
+            ("p50_ns", PosInt),
+            ("p99_ns", PosInt),
+            ("p999_ns", PosInt),
+            ("solo_p999_ns", PosInt),
+            ("budget_ns", PosInt),
+            ("budget_violations", Int),
+            ("gate_deferrals", Int),
+            ("lost", Int),
+            ("bulk_rejections", Int),
+            ("injected_drops", Int),
+            ("reorders", Int),
+        ],
+        gate: isolation_gate,
+    },
+];
 
-fn str_field(entry: &Value, key: &str, i: usize) -> Result<(), SchemaError> {
-    entry
-        .get(key)
+/// Validates a BENCH document against the [`BENCHES`] row its `schema`
+/// marker names: the envelope (`schema`, a positive `factor`, an
+/// `entries` array), every entry's keys, then the row's gate.
+///
+/// # Errors
+///
+/// Describes the unknown marker, the first missing or mistyped key, or
+/// the violated gate.
+pub fn validate_bench(doc: &Value) -> Result<&'static Bench, SchemaError> {
+    let marker = doc
+        .get("schema")
         .and_then(Value::as_str)
-        .map(|_| ())
-        .ok_or_else(|| SchemaError::new(format!("entry {i}: missing string key {key:?}")))
-}
-
-/// Validates a `BENCH_latency.json` document.
-///
-/// Requires the [`BENCH_LATENCY_SCHEMA`] marker and, per entry: string
-/// `system`/`testbed`, integer `payload_bytes`/`samples`, and a
-/// monotone p50 ≤ p90 ≤ p99 ≤ p99.9 ≤ max quantile ladder.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or quantile
-/// inversion found.
-pub fn validate_bench_latency(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_LATENCY_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        u64_field(entry, "payload_bytes", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let p50 = u64_field(entry, "p50_ns", i)?;
-        let p90 = u64_field(entry, "p90_ns", i)?;
-        let p99 = u64_field(entry, "p99_ns", i)?;
-        let p999 = u64_field(entry, "p999_ns", i)?;
-        let max = u64_field(entry, "max_ns", i)?;
-        u64_field(entry, "min_ns", i)?;
-        if entry.get("mean_ns").and_then(Value::as_f64).is_none() {
-            return Err(SchemaError::new(format!(
-                "entry {i}: missing numeric key \"mean_ns\""
-            )));
-        }
-        if !(p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= max) {
-            return Err(SchemaError::new(format!(
-                "entry {i}: quantile ladder not monotone \
-                 (p50 {p50} / p90 {p90} / p99 {p99} / p99.9 {p999} / max {max})"
-            )));
-        }
+        .ok_or_else(|| SchemaError::new("missing string key \"schema\""))?;
+    let bench = BENCHES
+        .iter()
+        .find(|b| b.schema == marker)
+        .ok_or_else(|| SchemaError::new(format!("unknown schema marker {marker:?}")))?;
+    if !PosNum.holds(doc.get("factor")) {
+        return Err(SchemaError::new(
+            "\"factor\" must be a finite positive number",
+        ));
     }
-    Ok(())
-}
-
-/// Validates a `BENCH_throughput.json` document.
-///
-/// Requires the [`BENCH_THROUGHPUT_SCHEMA`] marker and, per entry:
-/// string `system`/`testbed`, integer `payload_bytes`/`messages`, and a
-/// finite positive `goodput_gbps`.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or non-positive
-/// goodput found.
-pub fn validate_bench_throughput(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_THROUGHPUT_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        u64_field(entry, "payload_bytes", i)?;
-        u64_field(entry, "messages", i)?;
-        let gbps = entry
-            .get("goodput_gbps")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| {
-                SchemaError::new(format!("entry {i}: missing numeric key \"goodput_gbps\""))
-            })?;
-        if !gbps.is_finite() || gbps <= 0.0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: goodput must be finite and positive, got {gbps}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_noisy_neighbor.json` document.
-///
-/// Requires the [`BENCH_NOISY_NEIGHBOR_SCHEMA`] marker and, per entry:
-/// string `system`/`testbed`, integer `payload_bytes`, positive
-/// `samples`, positive victim p99s (`solo_p99_ns`, `contended_p99_ns`),
-/// and the isolation gate in fixed-point thousandths:
-/// `isolation_ratio_x1000 <= bound_x1000` (the ISSUE's 2x criterion,
-/// re-checked by every consumer, not just the producing bench run).
-/// The noisy tenant must have seen at least one typed admission or
-/// quota rejection (`bulk_rejections >= 1` — it saturated its limits)
-/// while the victim saw none (`victim_rejections == 0`).
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, violated isolation
-/// bound, or rejection-count anomaly found.
-pub fn validate_bench_noisy_neighbor(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_NOISY_NEIGHBOR_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        u64_field(entry, "payload_bytes", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let solo = u64_field(entry, "solo_p99_ns", i)?;
-        let contended = u64_field(entry, "contended_p99_ns", i)?;
-        if solo == 0 || contended == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: p99 must be positive (solo {solo} / contended {contended})"
-            )));
-        }
-        let ratio = u64_field(entry, "isolation_ratio_x1000", i)?;
-        let bound = u64_field(entry, "bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero isolation bound")));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: isolation violated: contended/solo p99 ratio \
-                 {ratio}/1000 exceeds the bound {bound}/1000"
-            )));
-        }
-        let bulk = u64_field(entry, "bulk_rejections", i)?;
-        if bulk == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the noisy tenant saturated its limits but saw \
-                 no typed rejections"
-            )));
-        }
-        let victim = u64_field(entry, "victim_rejections", i)?;
-        if victim != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the well-behaved tenant was rejected {victim} \
-                 times; isolation must not punish in-quota tenants"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_isolation.json` document (the mixed-criticality
-/// timing-isolation experiment, DESIGN.md §14).
-///
-/// Requires the [`BENCH_ISOLATION_SCHEMA`] marker and, per entry:
-/// string `system`/`testbed`, positive `samples`, the bulk load point
-/// (`bulk_burst`, zero for the solo baseline), positive critical-flow
-/// quantiles (`p50_ns`/`p99_ns`/`p999_ns`), and a positive per-message
-/// latency budget (`budget_ns`).  Three gates are enforced:
-///
-/// * **budget**: `budget_violations == 0` at *every* load point — a
-///   time-critical message that was delivered must have been delivered
-///   inside its budget, bulk saturation or not;
-/// * **tail isolation**: `ratio_x1000` (this load point's p99.9 over
-///   the solo baseline's `solo_p999_ns`, fixed-point thousandths) must
-///   not exceed `bound_x1000`;
-/// * **coverage**: the document must contain a solo baseline
-///   (`bulk_burst == 0`) and at least one gate deferral summed across
-///   entries — a run in which the time-aware gates never held a frame
-///   back did not exercise the machinery it claims to measure.
-///
-/// `lost`, `bulk_rejections`, `injected_drops`, and `reorders` are
-/// required integers (the seeded fault record) but carry no bound:
-/// losses under injected faults are expected and reported, not failed.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or violated gate
-/// found.
-pub fn validate_bench_isolation(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_ISOLATION_SCHEMA)?;
-    let mut has_solo = false;
-    let mut deferrals_total = 0u64;
-    let all = entries(doc)?;
-    if all.is_empty() {
-        return Err(SchemaError::new("no load points recorded"));
-    }
-    for (i, entry) in all.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let bulk_burst = u64_field(entry, "bulk_burst", i)?;
-        has_solo |= bulk_burst == 0;
-        for key in ["p50_ns", "p99_ns", "p999_ns", "solo_p999_ns", "budget_ns"] {
-            if u64_field(entry, key, i)? == 0 {
+    let entries = doc
+        .get("entries")
+        .and_then(Value::as_array)
+        .ok_or_else(|| SchemaError::new("missing array key \"entries\""))?;
+    for (i, entry) in entries.iter().enumerate() {
+        for &(key, kind) in bench.keys {
+            if !kind.holds(entry.get(key)) {
                 return Err(SchemaError::new(format!(
-                    "entry {i}: {key} must be positive"
+                    "entry {i}: {key:?} must be {}",
+                    kind.describe()
                 )));
             }
         }
-        let violations = u64_field(entry, "budget_violations", i)?;
-        if violations != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {violations} critical message(s) missed their \
-                 latency budget at bulk_burst {bulk_burst}"
-            )));
-        }
-        let ratio = u64_field(entry, "ratio_x1000", i)?;
-        let bound = u64_field(entry, "bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero tail bound")));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: tail isolation violated: critical p99.9 ratio \
-                 {ratio}/1000 over solo exceeds the bound {bound}/1000 at \
-                 bulk_burst {bulk_burst}"
-            )));
-        }
-        deferrals_total += u64_field(entry, "gate_deferrals", i)?;
-        u64_field(entry, "lost", i)?;
-        u64_field(entry, "bulk_rejections", i)?;
-        u64_field(entry, "injected_drops", i)?;
-        u64_field(entry, "reorders", i)?;
     }
-    if !has_solo {
+    (bench.gate)(entries)?;
+    Ok(bench)
+}
+
+/// A key the row's key list has already checked.
+fn num(entry: &Value, key: &str) -> u64 {
+    entry.get(key).and_then(Value::as_u64).unwrap_or(0)
+}
+
+fn fail<T>(i: usize, what: String) -> Result<T, SchemaError> {
+    Err(SchemaError::new(format!("entry {i}: {what}")))
+}
+
+/// Fails when `num / den` in thousandths exceeds `bound`.
+fn within(i: usize, what: &str, num: u64, den: u64, bound: u64) -> Result<(), SchemaError> {
+    let ratio = ratio_x1000(num, den);
+    if ratio > bound {
+        return fail(
+            i,
+            format!("{what} {ratio}/1000 exceeds the bound {bound}/1000"),
+        );
+    }
+    Ok(())
+}
+
+fn must_be_zero(i: usize, entry: &Value, key: &str, what: &str) -> Result<(), SchemaError> {
+    match num(entry, key) {
+        0 => Ok(()),
+        n => fail(i, format!("{n} {what}")),
+    }
+}
+
+fn latency_gate(entries: &[Value]) -> Result<(), SchemaError> {
+    for (i, e) in entries.iter().enumerate() {
+        let ladder = ["p50_ns", "p90_ns", "p99_ns", "p999_ns", "max_ns"].map(|k| num(e, k));
+        if ladder.windows(2).any(|w| w[0] > w[1]) {
+            let [p50, p90, p99, p999, max] = ladder;
+            return fail(
+                i,
+                format!(
+                    "quantile ladder not monotone \
+                     (p50 {p50} / p90 {p90} / p99 {p99} / p99.9 {p999} / max {max})"
+                ),
+            );
+        }
+    }
+    Ok(())
+}
+
+fn shard_gate(entries: &[Value]) -> Result<(), SchemaError> {
+    let goodput = |shards: u64| {
+        entries
+            .iter()
+            .find(|e| num(e, "shards") == shards)
+            .and_then(|e| e.get("goodput_gbps"))
+            .and_then(Value::as_f64)
+    };
+    if let (Some(one), Some(two)) = (goodput(1), goodput(2)) {
+        if two * 1_000.0 < one * SHARD_SPEEDUP_FLOOR_X1000 as f64 {
+            return Err(SchemaError::new(format!(
+                "shard scale-out: 2 shards reached only {:.3}x of the 1-shard \
+                 goodput (floor {}/1000)",
+                two / one,
+                SHARD_SPEEDUP_FLOOR_X1000
+            )));
+        }
+    }
+    Ok(())
+}
+
+fn noisy_neighbor_gate(entries: &[Value]) -> Result<(), SchemaError> {
+    for (i, e) in entries.iter().enumerate() {
+        within(
+            i,
+            "isolation violated: contended/solo p99 ratio",
+            num(e, "contended_p99_ns"),
+            num(e, "solo_p99_ns"),
+            NOISY_NEIGHBOR_BOUND_X1000,
+        )?;
+        must_be_zero(
+            i,
+            e,
+            "victim_rejections",
+            "rejections of the in-quota tenant; isolation must not punish it",
+        )?;
+    }
+    Ok(())
+}
+
+fn hotpath_gate(entries: &[Value]) -> Result<(), SchemaError> {
+    for (i, e) in entries.iter().enumerate() {
+        within(
+            i,
+            "uncontended regression: snapshot/locked read ratio",
+            num(e, "snapshot_read_ns_x1000"),
+            num(e, "locked_read_ns_x1000"),
+            HOTPATH_UNCONTENDED_BOUND_X1000,
+        )?;
+        within(
+            i,
+            "contended tail regression: snapshot/locked p99 ratio",
+            num(e, "snapshot_p99_ns"),
+            num(e, "locked_p99_ns"),
+            HOTPATH_CONTENDED_BOUND_X1000,
+        )?;
+        must_be_zero(i, e, "dropped", "message(s) dropped across a live reload")?;
+        must_be_zero(
+            i,
+            e,
+            "reordered",
+            "message(s) reordered across a live reload",
+        )?;
+    }
+    Ok(())
+}
+
+fn ipc_gate(entries: &[Value]) -> Result<(), SchemaError> {
+    for (i, e) in entries.iter().enumerate() {
+        for deployment in ["in_process", "cross_process"] {
+            let p50 = num(e, &format!("{deployment}_p50_ns"));
+            let p99 = num(e, &format!("{deployment}_p99_ns"));
+            if p50 > p99 {
+                return fail(i, format!("{deployment} p50 {p50} exceeds p99 {p99}"));
+            }
+        }
+        within(
+            i,
+            "process-split overhead: cross/in-process p99 ratio",
+            num(e, "cross_process_p99_ns"),
+            num(e, "in_process_p99_ns"),
+            IPC_BOUND_X1000,
+        )?;
+        must_be_zero(i, e, "leaked_slots", "slot(s) leaked after a client crash")?;
+    }
+    Ok(())
+}
+
+fn isolation_gate(entries: &[Value]) -> Result<(), SchemaError> {
+    if entries.is_empty() {
+        return Err(SchemaError::new("no load points recorded"));
+    }
+    for (i, e) in entries.iter().enumerate() {
+        let burst = num(e, "bulk_burst");
+        must_be_zero(
+            i,
+            e,
+            "budget_violations",
+            &format!("critical message(s) missed their latency budget at bulk_burst {burst}"),
+        )?;
+        within(
+            i,
+            &format!("tail isolation violated at bulk_burst {burst}: critical p99.9/solo ratio"),
+            num(e, "p999_ns"),
+            num(e, "solo_p999_ns"),
+            ISOLATION_TAIL_BOUND_X1000,
+        )?;
+    }
+    if !entries.iter().any(|e| num(e, "bulk_burst") == 0) {
         return Err(SchemaError::new(
             "no solo baseline (bulk_burst == 0) load point recorded",
         ));
     }
-    if deferrals_total == 0 {
+    if entries.iter().all(|e| num(e, "gate_deferrals") == 0) {
         return Err(SchemaError::new(
             "no gate deferrals recorded at any load point: the time-aware \
              gates never held a frame, so the run measured nothing",
@@ -288,192 +456,47 @@ pub fn validate_bench_isolation(doc: &Value) -> Result<(), SchemaError> {
     Ok(())
 }
 
-/// Validates a `BENCH_hotpath.json` document.
-///
-/// Requires the [`BENCH_HOTPATH_SCHEMA`] marker and, per entry: string
-/// `system`/`testbed`, positive `samples`, positive per-read timings
-/// (`locked_read_ns_x1000`, `snapshot_read_ns_x1000`) and contended
-/// p99s (`locked_p99_ns`, `snapshot_p99_ns`), plus three gates:
-///
-/// * **uncontended**: `uncontended_ratio_x1000` (snapshot/locked,
-///   fixed-point thousandths) must not exceed
-///   `uncontended_bound_x1000` — the snapshot read may not be
-///   meaningfully slower than the lock it replaced when nobody
-///   contends;
-/// * **contended**: `contended_ratio_x1000` (snapshot p99 / locked p99)
-///   must not exceed `contended_bound_x1000` — under a live writer the
-///   snapshot reader's tail must not regress past the lock's tail;
-/// * **reload-under-load**: `reloads >= 1` (at least one live
-///   republication actually happened) while `dropped == 0` and
-///   `reordered == 0` — a hot reload must never lose or reorder
-///   traffic.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or violated gate
-/// found.
-pub fn validate_bench_hotpath(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_HOTPATH_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        let samples = u64_field(entry, "samples", i)?;
-        if samples == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero samples")));
-        }
-        let locked = u64_field(entry, "locked_read_ns_x1000", i)?;
-        let snapshot = u64_field(entry, "snapshot_read_ns_x1000", i)?;
-        if locked == 0 || snapshot == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: per-read timings must be positive \
-                 (locked {locked} / snapshot {snapshot})"
-            )));
-        }
-        let ratio = u64_field(entry, "uncontended_ratio_x1000", i)?;
-        let bound = u64_field(entry, "uncontended_bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: zero uncontended bound"
-            )));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: uncontended regression: snapshot/locked read ratio \
-                 {ratio}/1000 exceeds the bound {bound}/1000"
-            )));
-        }
-        let locked_p99 = u64_field(entry, "locked_p99_ns", i)?;
-        let snapshot_p99 = u64_field(entry, "snapshot_p99_ns", i)?;
-        if locked_p99 == 0 || snapshot_p99 == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: contended p99 must be positive \
-                 (locked {locked_p99} / snapshot {snapshot_p99})"
-            )));
-        }
-        let cratio = u64_field(entry, "contended_ratio_x1000", i)?;
-        let cbound = u64_field(entry, "contended_bound_x1000", i)?;
-        if cbound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero contended bound")));
-        }
-        if cratio > cbound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: contended tail regression: snapshot/locked p99 ratio \
-                 {cratio}/1000 exceeds the bound {cbound}/1000"
-            )));
-        }
-        let reloads = u64_field(entry, "reloads", i)?;
-        if reloads == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the reload-under-load phase performed no reloads"
-            )));
-        }
-        let dropped = u64_field(entry, "dropped", i)?;
-        if dropped != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {dropped} message(s) dropped across a live reload"
-            )));
-        }
-        let reordered = u64_field(entry, "reordered", i)?;
-        if reordered != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {reordered} message(s) reordered across a live reload"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_ipc.json` document.
-///
-/// Requires the [`BENCH_IPC_SCHEMA`] marker and, per entry: string
-/// `system`/`testbed`, positive `messages`, positive round-trip
-/// percentiles for both deployments (`in_process_p50_ns`,
-/// `in_process_p99_ns`, `cross_process_p50_ns`, `cross_process_p99_ns`,
-/// each pair with p50 ≤ p99), positive `attach_ns`, plus three gates:
-///
-/// * **process-split overhead**: `ratio_x1000` (cross-process p99 /
-///   in-process p99, fixed-point thousandths) must not exceed
-///   `bound_x1000` — crossing the OS process boundary may not cost more
-///   than the declared multiple of the in-process datapath;
-/// * **crash reclaim ran**: `reclaimed_slots >= 1` and
-///   `reclaim_ns > 0` — the bench's kill-a-client phase actually
-///   exercised force-reclaim and measured its latency;
-/// * **no leaks**: `leaked_slots == 0` — every slot the crashed client
-///   held came back to the pool.
-///
-/// # Errors
-///
-/// Describes the first missing key, type mismatch, or violated gate
-/// found.
-pub fn validate_bench_ipc(doc: &Value) -> Result<(), SchemaError> {
-    expect_schema(doc, BENCH_IPC_SCHEMA)?;
-    for (i, entry) in entries(doc)?.iter().enumerate() {
-        str_field(entry, "system", i)?;
-        str_field(entry, "testbed", i)?;
-        let messages = u64_field(entry, "messages", i)?;
-        if messages == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero messages")));
-        }
-        for deployment in ["in_process", "cross_process"] {
-            let p50 = u64_field(entry, &format!("{deployment}_p50_ns"), i)?;
-            let p99 = u64_field(entry, &format!("{deployment}_p99_ns"), i)?;
-            if p50 == 0 || p99 == 0 {
-                return Err(SchemaError::new(format!(
-                    "entry {i}: {deployment} round-trip percentiles must be \
-                     positive (p50 {p50} / p99 {p99})"
-                )));
-            }
-            if p50 > p99 {
-                return Err(SchemaError::new(format!(
-                    "entry {i}: {deployment} p50 {p50} exceeds p99 {p99}"
-                )));
-            }
-        }
-        let ratio = u64_field(entry, "ratio_x1000", i)?;
-        let bound = u64_field(entry, "bound_x1000", i)?;
-        if bound == 0 {
-            return Err(SchemaError::new(format!("entry {i}: zero overhead bound")));
-        }
-        if ratio > bound {
-            return Err(SchemaError::new(format!(
-                "entry {i}: process-split overhead: cross/in-process p99 ratio \
-                 {ratio}/1000 exceeds the bound {bound}/1000"
-            )));
-        }
-        let attach = u64_field(entry, "attach_ns", i)?;
-        if attach == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: attach latency must be positive"
-            )));
-        }
-        let reclaimed = u64_field(entry, "reclaimed_slots", i)?;
-        if reclaimed == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: the crash phase reclaimed no slots — \
-                 force-reclaim was not exercised"
-            )));
-        }
-        let reclaim_ns = u64_field(entry, "reclaim_ns", i)?;
-        if reclaim_ns == 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: reclaim latency not recorded"
-            )));
-        }
-        let leaked = u64_field(entry, "leaked_slots", i)?;
-        if leaked != 0 {
-            return Err(SchemaError::new(format!(
-                "entry {i}: {leaked} slot(s) leaked after a client crash"
-            )));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn latency_entry() -> Value {
+    fn marker(file: &str) -> &'static str {
+        BENCHES
+            .iter()
+            .find(|b| b.file == file)
+            .map(|b| b.schema)
+            .unwrap()
+    }
+
+    fn doc(file: &str, entries: Vec<Value>) -> Value {
+        Value::object([
+            ("schema", marker(file).into()),
+            ("factor", 1.0f64.into()),
+            ("entries", Value::Array(entries)),
+        ])
+    }
+
+    /// `entry` with each `(key, value)` replaced, or appended if absent.
+    fn set(mut entry: Value, changes: &[(&str, Value)]) -> Value {
+        if let Value::Object(pairs) = &mut entry {
+            for (key, v) in changes {
+                match pairs.iter_mut().find(|(k, _)| k == key) {
+                    Some(pair) => pair.1 = v.clone(),
+                    None => pairs.push(((*key).to_string(), v.clone())),
+                }
+            }
+        }
+        entry
+    }
+
+    fn without(mut entry: Value, key: &str) -> Value {
+        if let Value::Object(pairs) = &mut entry {
+            pairs.retain(|(k, _)| k != key);
+        }
+        entry
+    }
+
+    fn latency() -> Value {
         Value::object([
             ("system", "INSANE fast".into()),
             ("testbed", "Local".into()),
@@ -489,81 +512,24 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn valid_latency_doc_passes() {
-        let doc = Value::object([
-            ("schema", BENCH_LATENCY_SCHEMA.into()),
-            ("factor", 1.0f64.into()),
-            ("entries", Value::Array(vec![latency_entry()])),
-        ]);
-        assert_eq!(validate_bench_latency(&doc), Ok(()));
+    fn throughput() -> Value {
+        Value::object([
+            ("system", "INSANE fast".into()),
+            ("testbed", "Local".into()),
+            ("payload_bytes", 1024u64.into()),
+            ("messages", 6000u64.into()),
+            ("goodput_gbps", 12.5f64.into()),
+        ])
     }
 
-    #[test]
-    fn wrong_schema_marker_is_rejected() {
-        let doc = Value::object([
-            ("schema", "something-else".into()),
-            ("entries", Value::Array(vec![])),
-        ]);
-        let err = validate_bench_latency(&doc).unwrap_err();
-        assert!(err.to_string().contains("schema mismatch"), "{err}");
+    fn shard(shards: u64, gbps: f64) -> Value {
+        set(
+            throughput(),
+            &[("shards", shards.into()), ("goodput_gbps", gbps.into())],
+        )
     }
 
-    #[test]
-    fn quantile_inversion_is_rejected() {
-        let mut entry = latency_entry();
-        if let Value::Object(pairs) = &mut entry {
-            for (k, v) in pairs.iter_mut() {
-                if k == "p90_ns" {
-                    *v = Value::Int(5000); // above p99
-                }
-            }
-        }
-        let doc = Value::object([
-            ("schema", BENCH_LATENCY_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ]);
-        let err = validate_bench_latency(&doc).unwrap_err();
-        assert!(err.to_string().contains("not monotone"), "{err}");
-    }
-
-    #[test]
-    fn valid_throughput_doc_passes() {
-        let doc = Value::object([
-            ("schema", BENCH_THROUGHPUT_SCHEMA.into()),
-            (
-                "entries",
-                Value::Array(vec![Value::object([
-                    ("system", "INSANE fast".into()),
-                    ("testbed", "Local".into()),
-                    ("payload_bytes", 1024u64.into()),
-                    ("messages", 6000u64.into()),
-                    ("goodput_gbps", 12.5f64.into()),
-                ])]),
-            ),
-        ]);
-        assert_eq!(validate_bench_throughput(&doc), Ok(()));
-    }
-
-    #[test]
-    fn non_positive_goodput_is_rejected() {
-        let doc = Value::object([
-            ("schema", BENCH_THROUGHPUT_SCHEMA.into()),
-            (
-                "entries",
-                Value::Array(vec![Value::object([
-                    ("system", "udp".into()),
-                    ("testbed", "Local".into()),
-                    ("payload_bytes", 64u64.into()),
-                    ("messages", 10u64.into()),
-                    ("goodput_gbps", 0.0f64.into()),
-                ])]),
-            ),
-        ]);
-        assert!(validate_bench_throughput(&doc).is_err());
-    }
-
-    fn noisy_entry() -> Value {
+    fn noisy() -> Value {
         Value::object([
             ("system", "INSANE multi-tenant".into()),
             ("testbed", "Local".into()),
@@ -571,63 +537,12 @@ mod tests {
             ("samples", 200u64.into()),
             ("solo_p99_ns", 10_000u64.into()),
             ("contended_p99_ns", 15_000u64.into()),
-            ("isolation_ratio_x1000", 1_500u64.into()),
-            ("bound_x1000", 2_000u64.into()),
             ("bulk_rejections", 12u64.into()),
             ("victim_rejections", 0u64.into()),
         ])
     }
 
-    fn noisy_doc(entry: Value) -> Value {
-        Value::object([
-            ("schema", BENCH_NOISY_NEIGHBOR_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ])
-    }
-
-    fn set_field(entry: &mut Value, key: &str, v: u64) {
-        if let Value::Object(pairs) = entry {
-            for (k, val) in pairs.iter_mut() {
-                if k == key {
-                    *val = Value::Int(v);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn valid_noisy_neighbor_doc_passes() {
-        assert_eq!(
-            validate_bench_noisy_neighbor(&noisy_doc(noisy_entry())),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn violated_isolation_bound_is_rejected() {
-        let mut entry = noisy_entry();
-        set_field(&mut entry, "isolation_ratio_x1000", 2_400);
-        let err = validate_bench_noisy_neighbor(&noisy_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("isolation violated"), "{err}");
-    }
-
-    #[test]
-    fn noisy_tenant_without_rejections_is_rejected() {
-        let mut entry = noisy_entry();
-        set_field(&mut entry, "bulk_rejections", 0);
-        let err = validate_bench_noisy_neighbor(&noisy_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("no typed rejections"), "{err}");
-    }
-
-    #[test]
-    fn punished_victim_is_rejected() {
-        let mut entry = noisy_entry();
-        set_field(&mut entry, "victim_rejections", 3);
-        let err = validate_bench_noisy_neighbor(&noisy_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("in-quota"), "{err}");
-    }
-
-    fn isolation_entry(bulk_burst: u64) -> Value {
+    fn isolation(bulk_burst: u64) -> Value {
         Value::object([
             ("system", "INSANE tas".into()),
             ("testbed", "Local".into()),
@@ -639,8 +554,6 @@ mod tests {
             ("solo_p999_ns", 800_000u64.into()),
             ("budget_ns", 25_000_000u64.into()),
             ("budget_violations", 0u64.into()),
-            ("ratio_x1000", 1_025u64.into()),
-            ("bound_x1000", 2_000u64.into()),
             ("gate_deferrals", 40u64.into()),
             ("lost", 1u64.into()),
             ("bulk_rejections", 12u64.into()),
@@ -649,127 +562,22 @@ mod tests {
         ])
     }
 
-    fn isolation_doc(entries: Vec<Value>) -> Value {
-        Value::object([
-            ("schema", BENCH_ISOLATION_SCHEMA.into()),
-            ("entries", Value::Array(entries)),
-        ])
-    }
-
-    #[test]
-    fn valid_isolation_doc_passes() {
-        let doc = isolation_doc(vec![isolation_entry(0), isolation_entry(16)]);
-        assert_eq!(validate_bench_isolation(&doc), Ok(()));
-    }
-
-    #[test]
-    fn isolation_budget_violation_is_rejected() {
-        let mut contended = isolation_entry(16);
-        set_field(&mut contended, "budget_violations", 2);
-        let doc = isolation_doc(vec![isolation_entry(0), contended]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("latency budget"), "{err}");
-    }
-
-    #[test]
-    fn isolation_tail_ratio_over_bound_is_rejected() {
-        let mut contended = isolation_entry(16);
-        set_field(&mut contended, "ratio_x1000", 2_400);
-        let doc = isolation_doc(vec![isolation_entry(0), contended]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("tail isolation violated"), "{err}");
-    }
-
-    #[test]
-    fn isolation_without_solo_baseline_is_rejected() {
-        let doc = isolation_doc(vec![isolation_entry(8), isolation_entry(16)]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("solo baseline"), "{err}");
-    }
-
-    #[test]
-    fn isolation_without_any_gate_deferral_is_rejected() {
-        let mut solo = isolation_entry(0);
-        let mut contended = isolation_entry(16);
-        set_field(&mut solo, "gate_deferrals", 0);
-        set_field(&mut contended, "gate_deferrals", 0);
-        let doc = isolation_doc(vec![solo, contended]);
-        let err = validate_bench_isolation(&doc).unwrap_err();
-        assert!(err.to_string().contains("never held a frame"), "{err}");
-    }
-
-    fn hotpath_entry() -> Value {
+    fn hotpath() -> Value {
         Value::object([
             ("system", "INSANE hot path".into()),
             ("testbed", "Local".into()),
             ("samples", 100_000u64.into()),
             ("locked_read_ns_x1000", 18_000u64.into()),
             ("snapshot_read_ns_x1000", 6_000u64.into()),
-            ("uncontended_ratio_x1000", 333u64.into()),
-            ("uncontended_bound_x1000", 1_100u64.into()),
             ("locked_p99_ns", 40_000u64.into()),
             ("snapshot_p99_ns", 9_000u64.into()),
-            ("contended_ratio_x1000", 225u64.into()),
-            ("contended_bound_x1000", 1_100u64.into()),
             ("reloads", 4u64.into()),
             ("dropped", 0u64.into()),
             ("reordered", 0u64.into()),
         ])
     }
 
-    fn hotpath_doc(entry: Value) -> Value {
-        Value::object([
-            ("schema", BENCH_HOTPATH_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ])
-    }
-
-    #[test]
-    fn valid_hotpath_doc_passes() {
-        assert_eq!(
-            validate_bench_hotpath(&hotpath_doc(hotpath_entry())),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn uncontended_regression_is_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "uncontended_ratio_x1000", 1_400);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("uncontended regression"), "{err}");
-    }
-
-    #[test]
-    fn contended_tail_regression_is_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "contended_ratio_x1000", 2_000);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("tail regression"), "{err}");
-    }
-
-    #[test]
-    fn reload_without_reloads_is_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "reloads", 0);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("no reloads"), "{err}");
-    }
-
-    #[test]
-    fn dropped_or_reordered_messages_are_rejected() {
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "dropped", 2);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("dropped"), "{err}");
-
-        let mut entry = hotpath_entry();
-        set_field(&mut entry, "reordered", 1);
-        let err = validate_bench_hotpath(&hotpath_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("reordered"), "{err}");
-    }
-
-    fn ipc_entry() -> Value {
+    fn ipc() -> Value {
         Value::object([
             ("system", "INSANE process split".into()),
             ("testbed", "Local".into()),
@@ -778,8 +586,6 @@ mod tests {
             ("in_process_p99_ns", 2_000u64.into()),
             ("cross_process_p50_ns", 900u64.into()),
             ("cross_process_p99_ns", 3_000u64.into()),
-            ("ratio_x1000", 1_500u64.into()),
-            ("bound_x1000", 2_000u64.into()),
             ("attach_ns", 250_000u64.into()),
             ("reclaim_ns", 80_000u64.into()),
             ("reclaimed_slots", 12u64.into()),
@@ -787,61 +593,249 @@ mod tests {
         ])
     }
 
-    fn ipc_doc(entry: Value) -> Value {
-        Value::object([
-            ("schema", BENCH_IPC_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ])
-    }
+    const LAT: &str = "BENCH_latency.json";
+    const TPUT: &str = "BENCH_throughput.json";
+    const SHARD: &str = "BENCH_shard_throughput.json";
+    const NOISY: &str = "BENCH_noisy_neighbor.json";
+    const ISO: &str = "BENCH_isolation.json";
+    const HOT: &str = "BENCH_hotpath.json";
+    const IPC: &str = "BENCH_ipc.json";
 
+    /// Every document and its verdict: `Ok(())`, or an error containing
+    /// the given text.
     #[test]
-    fn valid_ipc_doc_passes() {
-        assert_eq!(validate_bench_ipc(&ipc_doc(ipc_entry())), Ok(()));
-    }
-
-    #[test]
-    fn ipc_overhead_past_the_bound_is_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "ratio_x1000", 2_400);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("process-split overhead"), "{err}");
-    }
-
-    #[test]
-    fn ipc_leaked_slots_are_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "leaked_slots", 3);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("leaked"), "{err}");
-    }
-
-    #[test]
-    fn ipc_without_a_reclaim_phase_is_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "reclaimed_slots", 0);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("force-reclaim"), "{err}");
-    }
-
-    #[test]
-    fn ipc_inverted_percentiles_are_rejected() {
-        let mut entry = ipc_entry();
-        set_field(&mut entry, "cross_process_p50_ns", 5_000);
-        let err = validate_bench_ipc(&ipc_doc(entry)).unwrap_err();
-        assert!(err.to_string().contains("exceeds p99"), "{err}");
-    }
-
-    #[test]
-    fn missing_entry_key_is_named_in_the_error() {
-        let mut entry = latency_entry();
-        if let Value::Object(pairs) = &mut entry {
-            pairs.retain(|(k, _)| k != "p999_ns");
+    fn verdicts() {
+        let one = |file, entry| doc(file, vec![entry]);
+        let cases: Vec<(&str, Value, Result<(), &str>)> = vec![
+            // Envelope.
+            (
+                "unknown marker",
+                Value::object([
+                    ("schema", "insane-bench-frobnicate-v1".into()),
+                    ("factor", 1.0f64.into()),
+                    ("entries", Value::Array(vec![])),
+                ]),
+                Err("unknown schema marker"),
+            ),
+            (
+                "missing factor",
+                without(one(LAT, latency()), "factor"),
+                Err("factor"),
+            ),
+            (
+                "missing entries",
+                without(one(LAT, latency()), "entries"),
+                Err("entries"),
+            ),
+            // Latency.
+            ("valid latency", one(LAT, latency()), Ok(())),
+            (
+                "quantile inversion",
+                one(LAT, set(latency(), &[("p90_ns", 5000u64.into())])),
+                Err("not monotone"),
+            ),
+            (
+                "missing key named",
+                one(LAT, without(latency(), "p999_ns")),
+                Err("p999_ns"),
+            ),
+            (
+                "zero samples",
+                one(LAT, set(latency(), &[("samples", 0u64.into())])),
+                Err("samples"),
+            ),
+            // Throughput.
+            ("valid throughput", one(TPUT, throughput()), Ok(())),
+            (
+                "zero goodput",
+                one(TPUT, set(throughput(), &[("goodput_gbps", 0.0f64.into())])),
+                Err("goodput_gbps"),
+            ),
+            // Shard scale-out.
+            (
+                "shard floor met",
+                doc(SHARD, vec![shard(1, 10.0), shard(2, 13.0), shard(4, 14.0)]),
+                Ok(()),
+            ),
+            (
+                "shard floor missed",
+                doc(SHARD, vec![shard(1, 10.0), shard(2, 12.9)]),
+                Err("2 shards reached only"),
+            ),
+            (
+                "shard floor needs both points",
+                doc(SHARD, vec![shard(1, 10.0), shard(4, 10.0)]),
+                Ok(()),
+            ),
+            (
+                "shard count required",
+                doc(SHARD, vec![throughput()]),
+                Err("shards"),
+            ),
+            // Noisy neighbor.
+            ("valid noisy neighbor", one(NOISY, noisy()), Ok(())),
+            (
+                "isolation bound violated",
+                one(
+                    NOISY,
+                    set(noisy(), &[("contended_p99_ns", 24_000u64.into())]),
+                ),
+                Err("isolation violated"),
+            ),
+            (
+                "document bound is ignored",
+                one(
+                    NOISY,
+                    set(
+                        noisy(),
+                        &[
+                            ("contended_p99_ns", 50_000u64.into()),
+                            ("isolation_ratio_x1000", 1_500u64.into()),
+                            ("bound_x1000", 99_999u64.into()),
+                        ],
+                    ),
+                ),
+                Err("isolation violated"),
+            ),
+            (
+                "noisy tenant never refused",
+                one(NOISY, set(noisy(), &[("bulk_rejections", 0u64.into())])),
+                Err("bulk_rejections"),
+            ),
+            (
+                "victim punished",
+                one(NOISY, set(noisy(), &[("victim_rejections", 3u64.into())])),
+                Err("in-quota"),
+            ),
+            // Mixed-criticality isolation.
+            (
+                "valid isolation",
+                doc(ISO, vec![isolation(0), isolation(16)]),
+                Ok(()),
+            ),
+            (
+                "budget violated",
+                doc(
+                    ISO,
+                    vec![
+                        isolation(0),
+                        set(isolation(16), &[("budget_violations", 2u64.into())]),
+                    ],
+                ),
+                Err("latency budget"),
+            ),
+            (
+                "tail bound violated",
+                doc(
+                    ISO,
+                    vec![
+                        isolation(0),
+                        set(isolation(16), &[("p999_ns", 1_920_000u64.into())]),
+                    ],
+                ),
+                Err("tail isolation violated"),
+            ),
+            (
+                "no solo baseline",
+                doc(ISO, vec![isolation(8), isolation(16)]),
+                Err("solo baseline"),
+            ),
+            (
+                "no gate deferrals",
+                doc(
+                    ISO,
+                    vec![
+                        set(isolation(0), &[("gate_deferrals", 0u64.into())]),
+                        set(isolation(16), &[("gate_deferrals", 0u64.into())]),
+                    ],
+                ),
+                Err("never held a frame"),
+            ),
+            ("no load points", doc(ISO, vec![]), Err("no load points")),
+            // Hot path.
+            ("valid hot path", one(HOT, hotpath()), Ok(())),
+            (
+                "uncontended regression",
+                one(
+                    HOT,
+                    set(hotpath(), &[("snapshot_read_ns_x1000", 25_200u64.into())]),
+                ),
+                Err("uncontended regression"),
+            ),
+            (
+                "contended tail regression",
+                one(
+                    HOT,
+                    set(hotpath(), &[("snapshot_p99_ns", 80_000u64.into())]),
+                ),
+                Err("tail regression"),
+            ),
+            (
+                "no reloads",
+                one(HOT, set(hotpath(), &[("reloads", 0u64.into())])),
+                Err("reloads"),
+            ),
+            (
+                "dropped across reload",
+                one(HOT, set(hotpath(), &[("dropped", 2u64.into())])),
+                Err("dropped"),
+            ),
+            (
+                "reordered across reload",
+                one(HOT, set(hotpath(), &[("reordered", 1u64.into())])),
+                Err("reordered"),
+            ),
+            // Process split.
+            ("valid ipc", one(IPC, ipc()), Ok(())),
+            (
+                "ipc overhead past the bound",
+                one(
+                    IPC,
+                    set(ipc(), &[("cross_process_p99_ns", 4_800u64.into())]),
+                ),
+                Err("process-split overhead"),
+            ),
+            (
+                "leaked slots",
+                one(IPC, set(ipc(), &[("leaked_slots", 3u64.into())])),
+                Err("leaked"),
+            ),
+            (
+                "no reclaim phase",
+                one(IPC, set(ipc(), &[("reclaimed_slots", 0u64.into())])),
+                Err("reclaimed_slots"),
+            ),
+            (
+                "inverted percentiles",
+                one(
+                    IPC,
+                    set(ipc(), &[("cross_process_p50_ns", 5_000u64.into())]),
+                ),
+                Err("exceeds p99"),
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (name, doc, want) in &cases {
+            let got = validate_bench(doc).map(|_| ());
+            let ok = match (&got, want) {
+                (Ok(()), Ok(())) => true,
+                (Err(e), Err(text)) => e.to_string().contains(text),
+                _ => false,
+            };
+            if !ok {
+                wrong.push(format!("{name}: got {got:?}, want {want:?}"));
+            }
         }
-        let doc = Value::object([
-            ("schema", BENCH_LATENCY_SCHEMA.into()),
-            ("entries", Value::Array(vec![entry])),
-        ]);
-        let err = validate_bench_latency(&doc).unwrap_err();
-        assert!(err.to_string().contains("p999_ns"), "{err}");
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    }
+
+    #[test]
+    fn every_row_has_a_unique_file_and_marker() {
+        for (i, a) in BENCHES.iter().enumerate() {
+            for b in &BENCHES[i + 1..] {
+                assert_ne!(a.file, b.file);
+                assert_ne!(a.schema, b.schema);
+            }
+        }
     }
 }

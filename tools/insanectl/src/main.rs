@@ -25,11 +25,10 @@
 //!   the session protocol's `probe` request and checks the daemon
 //!   answers with a compatible protocol version, without creating a
 //!   session or mapping a segment.
-//! * `check-bench <dir>` — validate `BENCH_latency.json`,
-//!   `BENCH_throughput.json` and (when present)
-//!   `BENCH_shard_throughput.json` / `BENCH_noisy_neighbor.json` /
-//!   `BENCH_hotpath.json` / `BENCH_ipc.json` / `BENCH_isolation.json`
-//!   in `dir` against their schemas.
+//! * `check-bench <dir>` — validate every `BENCH_*.json` in `dir`
+//!   against its row of [`insane_telemetry::BENCHES`] (keys and gate
+//!   bounds), fail if a required file is missing, and fail on any
+//!   `BENCH_*.json` no row names.
 //!
 //! Every socket-taking subcommand also accepts the flag form
 //! `insanectl --socket <path> <cmd>`, which reads better in scripts
@@ -42,10 +41,7 @@ use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use insane_telemetry::{
-    validate_bench_hotpath, validate_bench_ipc, validate_bench_isolation, validate_bench_latency,
-    validate_bench_noisy_neighbor, validate_bench_throughput, Value,
-};
+use insane_telemetry::{validate_bench, Value, BENCHES};
 
 /// Any failure: usage, I/O, JSON, schema, or endpoint-reported.
 #[derive(Debug)]
@@ -394,51 +390,41 @@ fn stats(socket: &Path) -> Result<(), CtlError> {
 }
 
 fn check_bench(dir: &Path) -> Result<(), CtlError> {
-    let check = |name: &str,
-                 validate: fn(&Value) -> Result<(), insane_telemetry::SchemaError>|
-     -> Result<(), CtlError> {
-        let path = dir.join(name);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CtlError(format!("{}: {e}", path.display())))?;
-        let doc = Value::parse(&text)?;
-        validate(&doc).map_err(|e| CtlError(format!("{name}: {e}")))?;
-        let entries = doc
-            .get("entries")
-            .and_then(Value::as_array)
-            .map_or(0, <[Value]>::len);
-        println!("{name}: ok ({entries} entries)");
-        Ok(())
-    };
-    check("BENCH_latency.json", validate_bench_latency)?;
-    check("BENCH_throughput.json", validate_bench_throughput)?;
-    // The shard scale-out document is optional (the shard bench may not
-    // have run), but when present it must satisfy the throughput schema.
-    if dir.join("BENCH_shard_throughput.json").exists() {
-        check("BENCH_shard_throughput.json", validate_bench_throughput)?;
+    for bench in BENCHES {
+        if bench.required || dir.join(bench.file).exists() {
+            check_bench_file(dir, bench.file)?;
+        }
     }
-    // Same for the noisy-neighbor isolation document: optional, but a
-    // present file must pass its schema, including the isolation gate.
-    if dir.join("BENCH_noisy_neighbor.json").exists() {
-        check("BENCH_noisy_neighbor.json", validate_bench_noisy_neighbor)?;
+    // A BENCH file no row names is an error too, never silently skipped.
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        let stray = name.starts_with("BENCH_")
+            && name.ends_with(".json")
+            && !BENCHES.iter().any(|b| b.file == name);
+        if stray {
+            check_bench_file(dir, &name)?;
+        }
     }
-    // And the hot-path document: optional, but a present file must pass
-    // the uncontended/contended ratio gates and the reload-integrity
-    // invariants.
-    if dir.join("BENCH_hotpath.json").exists() {
-        check("BENCH_hotpath.json", validate_bench_hotpath)?;
+    Ok(())
+}
+
+/// Validates one BENCH file, and that its marker belongs to its name.
+fn check_bench_file(dir: &Path, name: &str) -> Result<(), CtlError> {
+    let path = dir.join(name);
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| CtlError(format!("{}: {e}", path.display())))?;
+    let doc = Value::parse(&text)?;
+    let bench = validate_bench(&doc).map_err(|e| CtlError(format!("{name}: {e}")))?;
+    if bench.file != name {
+        return Err(CtlError(format!(
+            "{name}: holds a {:?} document, which belongs in {}",
+            bench.schema, bench.file
+        )));
     }
-    // And the process-split document: optional, but a present file must
-    // pass the overhead bound and the crash-reclaim gates (reclaim ran,
-    // zero leaked slots).
-    if dir.join("BENCH_ipc.json").exists() {
-        check("BENCH_ipc.json", validate_bench_ipc)?;
-    }
-    // And the mixed-criticality timing-isolation document: optional,
-    // but a present file must pass the budget gate (zero violations at
-    // every load point), the p99.9 tail bound, and the coverage checks
-    // (solo baseline present, gates actually deferred frames).
-    if dir.join("BENCH_isolation.json").exists() {
-        check("BENCH_isolation.json", validate_bench_isolation)?;
-    }
+    let entries = doc
+        .get("entries")
+        .and_then(Value::as_array)
+        .map_or(0, <[Value]>::len);
+    println!("{name}: ok ({entries} entries)");
     Ok(())
 }
